@@ -6,12 +6,18 @@ supported because the source material uses both: "ve" (adjacent vertices
 distinct, adjacent edges distinct) and "total" (additionally every edge
 differs from its endpoints).  Labelling-style presets live in the [0, ...]
 domain, total colorings in [1, M].
+
+Composite presets declare as flags whatever their definition shares with
+the catalogue (constant metric, edge set, set-ordered, bijection onto
+[1, p+q], odd/even separation, vertex ranges), so the search can prune
+on them; their bespoke checkers test only the rest.  The `search-range`
+flag names the vertex range the search explores for presets whose
+vertex colors are free to translate; `check` never rejects on it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import ColoredGraph, Graph, bipartition, edge, is_tree
 
@@ -135,7 +141,6 @@ def _flag_ok(name, param, cg: ColoredGraph):
     p, q = g.n, g.q
     V = list(cg.vcolor.values())
     E = list(cg.ecolor.values())
-    M = cg.max_color()
     if name == "vertex-repeat":
         return len(set(V)) < p
     if name == "vertex-distinct":
@@ -143,13 +148,23 @@ def _flag_ok(name, param, cg: ColoredGraph):
     if name == "edge-distinct":
         return len(set(E)) == q
     if name == "vertex-range-0q":
-        return set(V) <= set(range(0, q + 1)) and min(V) == 0
+        return set(V) <= set(range(0, q + 1)) and min(V, default=0) == 0
     if name == "vertex-range-0-2q1":
-        return set(V) <= set(range(0, 2 * q)) and min(V) == 0
+        return set(V) <= set(range(0, 2 * q)) and min(V, default=0) == 0
     if name == "vertex-range-min1":
-        return min(V) == 1 and max(V) <= M
+        return min(V, default=1) == 1
     if name == "vertex-range-odd-min1":
-        return min(V) == 1 and set(V) <= set(range(1, 2 * q + 2))
+        return min(V, default=1) == 1 and set(V) <= set(range(1, 2 * q + 2))
+    if name == "vertex-range-1-q1":
+        return set(V) <= set(range(1, q + 2))
+    if name == "bijection-1-pq":
+        return sorted(V + E) == list(range(1, p + q + 1))
+    if name == "odd-even-separation":
+        return all(v % 2 for v in V) and all(e % 2 == 0 for e in E)
+    if name == "search-range":
+        # bounds the search only: these presets leave the vertex colors
+        # free to translate, so no range is part of their definition
+        return True
     if name == "edge-set-1q":
         return set(E) == set(range(1, q + 1)) and len(E) == q
     if name == "edge-set-0q1":
@@ -183,12 +198,15 @@ def _flag_ok(name, param, cg: ColoredGraph):
         return all(cg.ecolor[e] == (cg.vcolor[e[0]] + cg.vcolor[e[1]]) % (2 * q)
                    for e in g.edges)
     if name in ("magic-emt", "magic-edt", "magic-gdt", "magic-fdt"):
-        m = AlphaMetric(name.split("-")[1])
-        k = metric_constant(cg, m)
+        if not g.edges:
+            return True
+        k = metric_constant(cg, AlphaMetric(name.split("-")[1]))
         if k is None:
             return False
         return param is None or k == param
     if name == "interleaving":
+        if not g.edges:
+            return True
         lo = max(min(cg.vcolor[u], cg.vcolor[v]) for u, v in g.edges)
         hi = min(max(cg.vcolor[u], cg.vcolor[v]) for u, v in g.edges)
         return lo < hi  # an integer k with min <= k < max exists for all edges
@@ -343,7 +361,8 @@ def _ee_balanced(cg, failures):
 
 def _ev_ordered(cg, failures):
     V, E = cg.vset(), cg.eset()
-    ok = (min(V) > max(E) or max(V) < min(E) or V <= E or E <= V
+    ok = (not V or not E or min(V) > max(E) or max(V) < min(E)
+          or V <= E or E <= V
           or (all(v % 2 for v in V) and all(e % 2 == 0 for e in E)))
     if not ok:
         failures.append("EV-ordered")
@@ -368,66 +387,17 @@ def _ve_matching(cg, failures, singular):
     failures.append("ve-matching")
 
 
-def make_6c_checker(separable: bool):
-    def chk(cg):
-        failures = []
-        p, q = cg.graph.n, cg.graph.q
-        total = sorted(list(cg.vcolor.values()) + list(cg.ecolor.values()))
-        if total != list(range(1, p + q + 1)):
-            failures.append("bijection-1-pq")
-        m = AlphaMetric("edt")
-        if cg.graph.edges and metric_constant(cg, m) is None:
-            failures.append("e-magic")
-        _ee_difference(cg, failures)
-        _ee_balanced(cg, failures)
-        _ev_ordered(cg, failures)
-        _ve_matching(cg, failures, (p + q + 1) // 2)
-        if ordered_bipartition(cg) is None:
-            failures.append("set-ordered")
-        if separable:
-            V, E = cg.vset(), cg.eset()
-            if not (all(v % 2 for v in V) and all(e % 2 == 0 for e in E)):
-                failures.append("odd-even-separation")
-        return failures
-    return chk
-
-
 def _5c_checker(cg):
     failures = []
-    if cg.graph.edges and metric_constant(cg, AlphaMetric("edt")) is None:
-        failures.append("e-magic")
     _ee_difference(cg, failures)
     _ee_balanced(cg, failures)
-    if ordered_bipartition(cg) is None:
-        failures.append("set-ordered")
-    if not _flag_ok("edge-set-1q", None, cg):
-        failures.append("edge-fulfilled")
     return failures
 
 
-def _weak_gtc_checker(cg):
-    # edge = |difference| with nonzero differences; edges fill [1,q];
-    # vertex colors within [1, q+1]; vertex repeats allowed anywhere
-    failures = []
-    q = cg.graph.q
-    for u, v in cg.graph.edges:
-        if cg.vcolor[u] == cg.vcolor[v]:
-            failures.append("zero-difference-edge")
-            break
-        if cg.ecolor[edge(u, v)] != abs(cg.vcolor[u] - cg.vcolor[v]):
-            failures.append("rule-difference")
-            break
-    if set(cg.ecolor.values()) != set(range(1, q + 1)):
-        failures.append("edge-set-1q")
-    if cg.vcolor and not set(cg.vcolor.values()) <= set(range(1, q + 2)):
-        failures.append("vertex-range-1-q1")
-    for x in range(cg.graph.n):
-        seen = {}
-        for y in sorted(cg.graph.neighbors(x)):
-            c = cg.ecolor[edge(x, y)]
-            if c in seen:
-                failures.append("adjacent-edge-clash")
-            seen[c] = y
+def _6c_checker(cg):
+    failures = _5c_checker(cg)
+    _ev_ordered(cg, failures)
+    _ve_matching(cg, failures, (cg.graph.n + cg.graph.q + 1) // 2)
     return failures
 
 
@@ -565,12 +535,22 @@ _BASE_PRESETS = {
     # splitting colorings: same flags as the total forms minus properness
     "splitting-gracefully-total": _cs([("vertex-repeat", None),
                                        ("rule-difference", None),
-                                       ("edge-set-1q", None)],
+                                       ("edge-set-1q", None),
+                                       ("search-range", "vertex-range-0q")],
                                       properness="none"),
     "splitting-odd-gracefully-total": _cs([("vertex-repeat", None),
                                            ("rule-difference", None),
-                                           ("edge-set-odd", None)],
+                                           ("edge-set-odd", None),
+                                           ("search-range",
+                                            "vertex-range-0-2q1")],
                                           properness="none"),
+    # weak: vertex colors need not repeat but stay within [1, q+1]
+    "weak-gracefully-total": _tot("rule-difference", "edge-set-1q",
+                                  "vertex-range-1-q1"),
+    "set-ordered-weak-gracefully-total": _tot("rule-difference",
+                                              "edge-set-1q",
+                                              "vertex-range-1-q1",
+                                              "set-ordered"),
     # proper gracefully total: vertex colors confined to [1, q+1]
     "proper-gracefully-total": _tot("vertex-repeat", "vertex-range-min1",
                                     "edge-set-1q", "rule-difference",
@@ -579,28 +559,21 @@ _BASE_PRESETS = {
 
 
 def _preset_checkers():
-    out = {}
-    out["5c"] = Preset("5c", _cs((), properness="ve"), checker=_5c_checker)
-    out["6c"] = Preset("6c", _cs((), properness="none"),
-                       checker=make_6c_checker(False))
-    out["6c-odd-even"] = Preset("6c-odd-even", _cs((), properness="none"),
-                                checker=make_6c_checker(True))
-    out["weak-gracefully-total"] = Preset(
-        "weak-gracefully-total", _cs((), properness="none"),
-        checker=_weak_gtc_checker)
-
-    def _so_weak(cg):
-        f = list(_weak_gtc_checker(cg))
-        if ordered_bipartition(cg) is None:
-            f.append("set-ordered")
-        return f
-
-    out["set-ordered-weak-gracefully-total"] = Preset(
-        "set-ordered-weak-gracefully-total", _cs((), properness="none"),
-        checker=_so_weak)
-    out["rainbow"] = Preset("rainbow", _cs((), properness="total"),
-                            checker=_rainbow_checker)
-    return out
+    magic_so = [("magic-edt", None), ("set-ordered", None)]
+    six = [("bijection-1-pq", None)] + magic_so
+    return {
+        "5c": Preset("5c", _cs(magic_so + [("edge-set-1q", None),
+                                           ("search-range",
+                                            "vertex-range-1-q1")]),
+                     checker=_5c_checker),
+        "6c": Preset("6c", _cs(six, properness="none"), checker=_6c_checker),
+        "6c-odd-even": Preset(
+            "6c-odd-even",
+            _cs(six + [("odd-even-separation", None)], properness="none"),
+            checker=_6c_checker),
+        "rainbow": Preset("rainbow", _cs((), properness="total"),
+                          checker=_rainbow_checker),
+    }
 
 
 def _alpha_presets():

@@ -30,6 +30,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError("negative vertex count")
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError("edge endpoint out of range")
@@ -228,22 +230,45 @@ def vertex_split(g: Graph, spec: VertexSplitSpec) -> Graph:
     return Graph(g.n + 1, frozenset(edges))
 
 
-def vertex_coincide(g: Graph, x: int, y: int) -> Graph:
+def vertex_coincide(g, x: int, y: int):
+    """Merge the higher of x, y into the lower and compress the ids.
+
+    g is a Graph or a ColoredGraph; a colored input needs equal colors on
+    x and y and keeps every color.
+    """
+    colored = isinstance(g, ColoredGraph)
+    cg, g = (g, g.graph) if colored else (None, g)
     if x == y:
         raise GraphError("cannot coincide a vertex with itself")
     if g.has_edge(x, y):
         raise GraphError("edge-protected coinciding rejects adjacent vertices")
     if g.neighbors(x) & g.neighbors(y):
         raise GraphError("vertices share a neighbor; coinciding would duplicate an edge")
+    if colored and cg.vcolor[x] != cg.vcolor[y]:
+        raise GraphError(f"coincided vertices have colors {cg.vcolor[x]} "
+                         f"and {cg.vcolor[y]}")
     lo, hi = min(x, y), max(x, y)
     edges = set()
     for u, v in g.edges:
         u2 = lo if u == hi else u
         v2 = lo if v == hi else v
         edges.add(edge(u2, v2))
-    merged = Graph(g.n, frozenset(edges))
-    out, _ = _renumber(merged, [hi])
-    return out
+    out, remap = _renumber(Graph(g.n, frozenset(edges)), [hi])
+    if not colored:
+        return out
+    remap[hi] = remap[lo]
+    vc = {remap[v]: c for v, c in cg.vcolor.items() if v != hi}
+    ec = {edge(remap[u], remap[v]): c for (u, v), c in cg.ecolor.items()}
+    return ColoredGraph(out, vc, ec)
+
+
+def _edge_split(g: Graph, u: int, v: int) -> Graph:
+    """Replace the edge uv by pendant edges u-v' and v-u', v' = n, u' = n+1."""
+    edges = set(g.edges)
+    edges.discard(edge(u, v))
+    edges.add(edge(u, g.n))
+    edges.add(edge(v, g.n + 1))
+    return Graph(g.n + 2, frozenset(edges))
 
 
 def leaf_split(cg: ColoredGraph, e) -> ColoredGraph:
@@ -256,10 +281,6 @@ def leaf_split(cg: ColoredGraph, e) -> ColoredGraph:
     if not cg.is_total():
         raise GraphError("leaf-split needs a total coloring")
     vp, up = g.n, g.n + 1            # v' hangs on u, u' hangs on v
-    edges = set(g.edges)
-    edges.discard(edge(u, v))
-    edges.add(edge(u, vp))
-    edges.add(edge(v, up))
     vc = dict(cg.vcolor)
     ec = {k: c for k, c in cg.ecolor.items() if k != edge(u, v)}
     ecol = cg.ecolor[edge(u, v)]
@@ -267,7 +288,7 @@ def leaf_split(cg: ColoredGraph, e) -> ColoredGraph:
     vc[up] = cg.vcolor[u]
     ec[edge(u, vp)] = ecol
     ec[edge(v, up)] = ecol
-    return ColoredGraph(Graph(g.n + 2, frozenset(edges)), vc, ec)
+    return ColoredGraph(_edge_split(g, u, v), vc, ec)
 
 
 def leaf_coincide(cg: ColoredGraph, e1, e2) -> ColoredGraph:
@@ -423,15 +444,7 @@ def graph_to_tree(g: Graph, mode: str) -> Graph:
             cur = vertex_split(cur, VertexSplitSpec(x, frozenset({nb_on_cycle}),
                                                     frozenset(rest)))
         else:
-            a, b = cyc[0], cyc[1]
-            u, v = edge(a, b)
-            # uncolored leaf-split of the cycle edge uv
-            vp, up = cur.n, cur.n + 1
-            edges = set(cur.edges)
-            edges.discard(edge(u, v))
-            edges.add(edge(u, vp))
-            edges.add(edge(v, up))
-            cur = Graph(cur.n + 2, frozenset(edges))
+            cur = _edge_split(cur, *edge(cyc[0], cyc[1]))
 
 
 LEAF_SPLIT_COUNT_NOTE = (
@@ -657,16 +670,20 @@ def from_text(text: str) -> ColoredGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tok = line.split()
-        if tok[0] == "g" and len(tok) == 2:
-            n = int(tok[1])
-        elif tok[0] == "v" and len(tok) == 3:
-            vcolor[int(tok[1])] = int(tok[2])
-        elif tok[0] == "e" and len(tok) in (3, 4):
-            u, v = int(tok[1]), int(tok[2])
-            pairs.append((u, v))
-            if len(tok) == 4:
-                ecolor[edge(u, v)] = int(tok[3])
+        kind, *fields = line.split()
+        try:
+            nums = [int(t) for t in fields]
+        except ValueError:
+            raise GraphError(
+                f"line {lineno}: non-integer field in {line!r}") from None
+        if kind == "g" and len(nums) == 1:
+            n = nums[0]
+        elif kind == "v" and len(nums) == 2:
+            vcolor[nums[0]] = nums[1]
+        elif kind == "e" and len(nums) in (2, 3):
+            pairs.append((nums[0], nums[1]))
+            if len(nums) == 3:
+                ecolor[edge(nums[0], nums[1])] = nums[2]
         else:
             raise GraphError(f"line {lineno}: unrecognized record {line!r}")
     if n is None:

@@ -20,11 +20,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import (ColoredGraph, Graph, GraphError, bipartition,
-                   colored_canonical_form, colored_disjoint_union, edge,
-                   is_connected)
-from .colorings import (INCONCLUSIVE, check, get_preset, ordered_bipartition,
-                        search)
+from .core import (ColoredGraph, Graph, GraphError, colored_canonical_form,
+                   colored_disjoint_union, edge, is_connected,
+                   vertex_coincide)
+from .colorings import (INCONCLUSIVE, ConstraintSet, Preset, check,
+                        get_preset, ordered_bipartition, search)
+from .colorings.search import _run
 
 _INDEPENDENCE_WORK_CAP = 200_000
 _JUNCTION_CANDIDATE_CAP = 800
@@ -44,33 +45,6 @@ class LatticeBase:
 class AssemblyPlan:
     """One step per copy: (vector index, base vertex, host vertex)."""
     steps: list
-
-
-def _colored_coincide(cg: ColoredGraph, keep: int, drop: int) -> ColoredGraph:
-    g = cg.graph
-    if keep == drop:
-        raise GraphError("cannot coincide a vertex with itself")
-    if cg.vcolor[keep] != cg.vcolor[drop]:
-        raise GraphError(
-            f"coincided vertices have colors {cg.vcolor[keep]} and "
-            f"{cg.vcolor[drop]}")
-    if g.has_edge(keep, drop):
-        raise GraphError("coinciding adjacent vertices")
-    if g.neighbors(keep) & g.neighbors(drop):
-        raise GraphError("coinciding would duplicate an edge")
-
-    def ren(v):
-        if v == drop:
-            v = keep
-        return v - 1 if v > drop else v
-
-    edges = {edge(ren(u), ren(v)) for u, v in g.edges}
-    ng = Graph(g.n - 1, frozenset(edges))
-    vcol = {ren(v): c for v, c in cg.vcolor.items() if v != drop}
-    ecol = {edge(ren(u), ren(v)): c for (u, v), c in cg.ecolor.items()}
-    if len(ecol) != len(cg.ecolor):
-        raise GraphError("coinciding would duplicate an edge")
-    return ColoredGraph(ng, vcol, ecol)
 
 
 def assemble(host: ColoredGraph, base: LatticeBase, coeffs,
@@ -95,7 +69,7 @@ def assemble(host: ColoredGraph, base: LatticeBase, coeffs,
             raise GraphError("plan vertex out of range")
         off = out.graph.n
         out = colored_disjoint_union(out, vec)
-        out = _colored_coincide(out, hv, off + bv)
+        out = vertex_coincide(out, hv, off + bv)
     return out
 
 
@@ -348,7 +322,7 @@ def join_set_ordered(cg1: ColoredGraph, cg2: ColoredGraph,
         cg = ColoredGraph(g, vc, ec)
         if coincide_pair:
             try:
-                cg = _colored_coincide(cg, *coincide_pair)
+                cg = vertex_coincide(cg, *coincide_pair)
             except GraphError:
                 return None
         if not is_connected(cg.graph):
@@ -397,63 +371,28 @@ _RECOLOR_LIMIT = 24
 _INTEGRATE_ATTEMPT_CAP = 20_000
 
 
-def _so_proper_gtc_colorings(g: Graph, limit: int = _RECOLOR_LIMIT):
-    """Enumerate set-ordered, totally proper gracefully total colorings.
+_SO_PROPER_GTC = Preset(
+    "set-ordered-proper-gracefully-total",
+    ConstraintSet(get_preset("proper-gracefully-total").constraints.flags
+                  + (("set-ordered", None),), "total"))
 
-    Vertex colors live in [1, q+1] with at least one repeat, edge colors
-    are the endpoint differences and fill [1, q] exactly, no edge shares
-    a color with an endpoint, and one side of the bipartition sits
-    strictly below the other.  Small graphs only; stops after limit
-    witnesses.
+
+def _recolorings(g: Graph, limit: int = _RECOLOR_LIMIT):
+    """Set-ordered, totally proper gracefully total colorings of g.
+
+    Vertex colors in [1, q+1] with a repeat, edge colors the endpoint
+    differences filling [1, q], no edge sharing a color with an endpoint,
+    one side of the bipartition strictly below the other.  Returns at
+    most limit of them, and whether the limit cut the list short.
     """
-    bp = bipartition(g)
-    if bp is None or not bp[0] or not bp[1]:
-        return
-    q = g.q
-    adj = g.adjacency()
-    seen = set()
-    for low, high in ((bp[0], bp[1]), (bp[1], bp[0])):
-        vcol, used = {}, set()
+    found = []
 
-        def rec(v):
-            if len(seen) >= limit:
-                return
-            if v == g.n:
-                if len(set(vcol.values())) == g.n:
-                    return
-                key = tuple(vcol[u] for u in range(g.n))
-                if key in seen:
-                    return
-                seen.add(key)
-                ecol = {e: abs(vcol[e[0]] - vcol[e[1]])
-                        for e in g.sorted_edges()}
-                yield ColoredGraph(g, dict(vcol), ecol)
-                return
-            for c in range(1, q + 2):
-                if v in high and any(vcol[u] >= c for u in low if u in vcol):
-                    continue
-                if v in low and any(c >= vcol[u] for u in high if u in vcol):
-                    continue
-                ds = []
-                ok = True
-                for u in adj[v]:
-                    if u not in vcol:
-                        continue
-                    d = abs(vcol[u] - c)
-                    if (not 1 <= d <= q or d in used or d in ds
-                            or d == c or d == vcol[u]):
-                        ok = False
-                        break
-                    ds.append(d)
-                if not ok:
-                    continue
-                vcol[v] = c
-                used.update(ds)
-                yield from rec(v + 1)
-                del vcol[v]
-                used.difference_update(ds)
+    def keep(cg):
+        found.append(cg)
+        return len(found) > limit
 
-        yield from rec(0)
+    _run(g, _SO_PROPER_GTC, on_witness=keep)
+    return found[:limit], len(found) > limit
 
 
 def vertex_integrate(t: ColoredGraph, parts,
@@ -467,8 +406,10 @@ def vertex_integrate(t: ColoredGraph, parts,
     X-side parts in reverse, so the edge set is [1, q+A+B].  Each part
     is translated so an anchor vertex matches the host color; anchors
     and alternate part colorings are searched within the attempt cap.
-    Returns the colored graph with all colors in [1, q+A+B], or the
-    inconclusive marker when nothing passes the final check.
+    Returns the colored graph with all colors in [1, q+A+B]; None when
+    every candidate fails the final check; the inconclusive marker when
+    the attempt cap or the limit on alternate colorings cut the
+    candidates short.
     """
     if min(t.vcolor.values()) < 1:
         # a graceful labelling starting at 0 shifts up by one; the
@@ -555,16 +496,11 @@ def vertex_integrate(t: ColoredGraph, parts,
     # per part: the given coloring first, then alternates found by a
     # small enumeration (translations shift the anchors enough that a
     # single witness rarely fits every slot)
-    cand = []
-    for i, part in enumerate(parts):
-        lst = [part]
-        keys = {tuple(part.vcolor[v] for v in range(part.graph.n))}
-        for alt in _so_proper_gtc_colorings(part.graph):
-            key = tuple(alt.vcolor[v] for v in range(alt.graph.n))
-            if key not in keys:
-                keys.add(key)
-                lst.append(alt)
-        cand.append(lst)
+    cand, truncated = [], False
+    for part in parts:
+        alts, cut = _recolorings(part.graph)
+        truncated |= cut
+        cand.append([part] + [a for a in alts if a.vcolor != part.vcolor])
     tried = 0
     for colored in itertools.product(*cand):
         pool = []
@@ -578,7 +514,7 @@ def vertex_integrate(t: ColoredGraph, parts,
             got = attempt(colored, anchors)
             if got is not None:
                 return got
-    return INCONCLUSIVE
+    return INCONCLUSIVE if truncated else None
 
 
 _WEAK = "set-ordered-weak-gracefully-total"
@@ -592,15 +528,19 @@ def _require_weak(parts):
 
 
 def _search_candidates(graphs, budget):
-    tried = 0
-    for g in graphs:
-        tried += 1
+    """First weak witness over the candidate graphs; None when every
+    candidate is refuted, INCONCLUSIVE when the candidate cap or a
+    search budget was hit."""
+    budget_hit = False
+    for tried, g in enumerate(graphs, 1):
         if tried > _JUNCTION_CANDIDATE_CAP:
             return INCONCLUSIVE
         found = search(g, _WEAK, budget=budget)
-        if found is not INCONCLUSIVE and found:
+        if found is INCONCLUSIVE:
+            budget_hit = True
+        elif found is not None:
             return found
-    return INCONCLUSIVE
+    return INCONCLUSIVE if budget_hit else None
 
 
 def hand_in_hand(parts, budget=None):

@@ -1,11 +1,17 @@
 """Exit codes and report shapes of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topocoding
 from topocoding import cli, topcode
-from topocoding.core import ColoredGraph, from_text, path_graph, to_text
+from topocoding.core import (ColoredGraph, from_text, is_connected,
+                             path_graph, to_text)
 
 P5_TEXT = to_text(ColoredGraph(path_graph(5),
                                {0: 1, 1: 3, 2: 2, 3: 5, 4: 1},
@@ -89,6 +95,52 @@ def test_domain_error_exit(tmp_path, capsys):
     f.write_text("g 2\ne 0 0\n")
     assert cli.run(["graph", "info", str(f)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["vertex", "leaf"])
+def test_graph_to_tree_modes(tmp_path, capsys, mode):
+    f = tmp_path / "k4.txt"
+    f.write_text("g 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n")
+    assert cli.run(["graph", "to-tree", str(f), "--mode", mode]) == 0
+    body = "".join(ln + "\n" for ln in capsys.readouterr().out.splitlines()
+                   if not ln.startswith("#"))
+    tree = from_text(body).graph
+    p, q = 4, 6
+    assert tree.n == (q + 1 if mode == "vertex" else 2 * q - p + 2)
+    assert tree.q == tree.n - 1 and is_connected(tree)
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["graph", "info"], "g 3\ne 0 x\n", 1),
+    (["graph", "info"], "g -1\n", 1),
+    (["color", "check", "--preset", "graceful"], "g 0\n", 0),
+    (["color", "check", "--preset", "6c"], "g 0\n", 1),
+    (["color", "check", "--preset", "strongly-harmonious-total"],
+     "g 2\nv 0 1\nv 1 1\n", 0),
+    (["topcode", "tbpaw"], "X: 1 2\nE: 1 y\nY: 2 3\n", 1),
+])
+def test_bad_input_fails_cleanly(tmp_path, argv, text, code):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    src = str(Path(topocoding.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "topocoding.cli"] + argv[:2] + [str(f)]
+        + argv[2:], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bad_option_values_fail_cleanly(p5_file, tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("0 0 x\n")
+    assert cli.run(["lattice", "assemble", "--host", p5_file,
+                    "--base", p5_file, "--coeffs", "1",
+                    "--plan", str(plan)]) == 1
+    assert cli.run(["group", "tree-label", p5_file, "--host", p5_file,
+                    "--mode", "edges-free", "--zero", "0,y"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 2
 
 
 def test_usage_error_exit(p5_file):

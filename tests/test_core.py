@@ -90,6 +90,17 @@ def test_coincide_guards():
         vertex_coincide(g, 0, 2)      # common neighbor
 
 
+def test_colored_coincide_keeps_colors():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    cg = ColoredGraph(g, {0: 1, 1: 2, 2: 1, 3: 3}, {(0, 1): 1, (2, 3): 2})
+    out = vertex_coincide(cg, 0, 2)
+    assert out.graph == vertex_coincide(g, 0, 2)
+    assert out.vcolor == {0: 1, 1: 2, 2: 3}
+    assert out.ecolor == {(0, 1): 1, (0, 2): 2}
+    with pytest.raises(GraphError):
+        vertex_coincide(cg, 1, 3)     # colors 2 and 3 differ
+
+
 def test_leaf_split_coincide_roundtrip():
     cg = p5_colored()
     out = leaf_split(cg, (1, 2))
@@ -207,3 +218,5 @@ def test_from_text_ignores_comments():
 def test_from_text_rejects_garbage():
     with pytest.raises(GraphError):
         from_text("g 2\nz 0 1\n")
+    with pytest.raises(GraphError, match="line 2"):
+        from_text("g 2\ne 0 x\n")

@@ -2,8 +2,9 @@
 
 import pytest
 
+from topocoding import lattice
 from topocoding.core import (ColoredGraph, Graph, GraphError,
-                             are_isomorphic, path_graph)
+                             are_isomorphic, cycle_graph, path_graph)
 from topocoding.colorings import INCONCLUSIVE, check, get_preset, search
 from topocoding.lattice import (AssemblyPlan, LatticeBase, assemble,
                                 check_linear_independence, enumerate_lattice,
@@ -117,6 +118,16 @@ def test_vertex_integrate_three_parts():
     assert check(out, get_preset("proper-gracefully-total")).ok
 
 
+def test_vertex_integrate_negative_outcomes(monkeypatch):
+    # without alternate part colorings no anchor choice fits, so the
+    # candidates run out: None, unless the alternates were cut short
+    host = k2({0: 0, 1: 1}, 1)
+    monkeypatch.setattr(lattice, "_recolorings", lambda g: ([], False))
+    assert vertex_integrate(host, [p5_so(), p5_so()]) is None
+    monkeypatch.setattr(lattice, "_recolorings", lambda g: ([], True))
+    assert vertex_integrate(host, [p5_so(), p5_so()]) is INCONCLUSIVE
+
+
 def test_vertex_integrate_guards():
     host = k2({0: 0, 1: 1}, 1)
     with pytest.raises(GraphError):
@@ -148,6 +159,13 @@ def test_f_graph():
     assert got is not INCONCLUSIVE and got is not None
     assert got.graph.n == 6 and got.graph.q == 5
     assert check(got, get_preset("set-ordered-weak-gracefully-total")).ok
+
+
+def test_junction_search_negative_outcomes():
+    # C6 has no set-ordered weak gracefully total coloring
+    assert lattice._search_candidates([cycle_graph(6)], None) is None
+    assert lattice._search_candidates([cycle_graph(6)], 1) is INCONCLUSIVE
+    assert lattice._search_candidates([path_graph(4)], None) is not None
 
 
 def test_f_graph_needs_matching_sizes():
