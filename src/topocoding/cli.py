@@ -567,7 +567,7 @@ def _build_parser():
     p.add_argument("--host", required=True)
     p.add_argument("--base", nargs="+", required=True)
     p.add_argument("--bounds", required=True)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=core.ISO_CAP)
     return top
 
 

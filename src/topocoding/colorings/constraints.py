@@ -82,6 +82,8 @@ def metric_B(cg: ColoredGraph, m: AlphaMetric) -> int:
 
 def metric_constant(cg: ColoredGraph, m: AlphaMetric):
     """The shared edge-function value, or None if not constant."""
+    if not cg.graph.edges:
+        raise PresetError("an edgeless graph has no metric constant")
     vals = _oriented_edge_values(cg, m)
     return vals[0] if max(vals) == min(vals) else None
 

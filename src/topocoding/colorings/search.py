@@ -197,7 +197,8 @@ class _Plan:
                 self.steps += [(v, u) for u in self.back[v]]
 
     def k_values(self):
-        if self.metric is None:
+        # only edge steps read k, so an edgeless graph needs one pass
+        if self.metric is None or not self.g.edges:
             return [None]
         if self.pinned_k is not None:
             return [self.pinned_k]

@@ -15,7 +15,9 @@ class GraphError(ValueError):
     """Precondition violated by a structural operation."""
 
 
-ISO_CAP = 12  # hard default for isomorphism-dependent operations
+# Default vertex cap for isomorphism-dependent operations: 2q at the
+# matching_graphs cap q <= 10, so every graph a matrix matches fits.
+ISO_CAP = 20
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -455,8 +457,11 @@ LEAF_SPLIT_COUNT_NOTE = (
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
-def _refine(g_adj, ecolor, parts):
-    """1-dimensional color refinement on an ordered partition."""
+def _refine(nbrs, parts):
+    """1-dimensional color refinement on an ordered partition.
+
+    nbrs[v] lists (neighbor, edge color) pairs.
+    """
     while True:
         cell_of = {}
         for ci, cell in enumerate(parts):
@@ -470,8 +475,7 @@ def _refine(g_adj, ecolor, parts):
                 continue
             sig = {}
             for v in cell:
-                key = tuple(sorted((cell_of[w], ecolor.get(edge(v, w), -1))
-                                   for w in g_adj[v]))
+                key = tuple(sorted((cell_of[w], c) for w, c in nbrs[v]))
                 sig.setdefault(key, []).append(v)
             for key in sorted(sig):
                 new_parts.append(sorted(sig[key]))
@@ -482,11 +486,30 @@ def _refine(g_adj, ecolor, parts):
             return parts
 
 
+def _orbit(points, generators):
+    """The orbit of the points under the group the permutations span."""
+    seen, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        for gamma in generators:
+            if gamma[x] not in seen:
+                seen.add(gamma[x])
+                todo.append(gamma[x])
+    return seen
+
+
 def canonical_form(g: Graph, vcolor=None, ecolor=None, cap: int = ISO_CAP) -> bytes:
     """Canonical byte encoding; equal iff the (colored) graphs are isomorphic.
 
-    Refined-partition search with branch pruning.  Worst case is factorial in
-    a color class, fine for the small graphs this library manipulates.
+    The encoding is the least one over the leaves of an
+    individualize-and-refine tree, pruned by automorphisms (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014).  A leaf that
+    encodes equal to the first or the best leaf gives an automorphism,
+    and the search jumps back to where the two leaves' paths part.  A
+    node branches on one vertex per orbit of the automorphisms found so
+    far that fix its path pointwise.  Every pruned subtree is an
+    automorphic image of a searched one, so the least encoding is the
+    one the full tree would give.
     """
     if g.n > cap:
         raise GraphError(f"canonical_form capped at {cap} vertices")
@@ -494,36 +517,60 @@ def canonical_form(g: Graph, vcolor=None, ecolor=None, cap: int = ISO_CAP) -> by
         return b"empty"
     vcolor = vcolor or {}
     ecolor = ecolor or {}
-    adj = g.adjacency()
+    colored = [(u, v, ecolor.get((u, v), -1)) for u, v in g.edges]
+    nbrs = [[] for _ in range(g.n)]
+    for u, v, c in colored:
+        nbrs[u].append((v, c))
+        nbrs[v].append((u, c))
 
     groups = {}
     for v in range(g.n):
-        groups.setdefault((vcolor.get(v, -1), len(adj[v])), []).append(v)
+        groups.setdefault((vcolor.get(v, -1), len(nbrs[v])), []).append(v)
     parts = [sorted(groups[k]) for k in sorted(groups)]
 
-    best = [None]
+    first = best = None          # (encoding, vertex order, path) of a leaf
+    autos = []                   # automorphisms found at equal leaves
 
     def encode(order):
         pos = {v: i for i, v in enumerate(order)}
         rows = tuple(vcolor.get(v, -1) for v in order)
         es = tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), c)
-                          for (u, v), c in ((e, ecolor.get(e, -1)) for e in g.edges)))
+                          for u, v, c in colored))
         return (rows, es)
 
-    def rec(parts):
-        parts = _refine(adj, ecolor, parts)
+    def rec(parts, path):
+        # returns the depth to jump back to, or None to go on
+        nonlocal first, best
+        parts = _refine(nbrs, parts)
         if all(len(c) == 1 for c in parts):
-            enc = encode([c[0] for c in parts])
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
+            order = [c[0] for c in parts]
+            enc = encode(order)
+            if first is None:
+                first = best = (enc, order, path)
+                return None
+            for stored_enc, stored_order, stored_path in (first, best):
+                if enc == stored_enc:
+                    autos.append(dict(zip(order, stored_order)))
+                    return next(i for i, (a, b) in
+                                enumerate(zip(path, stored_path)) if a != b)
+            if enc < best[0]:
+                best = (enc, order, path)
+            return None
         idx = next(i for i, c in enumerate(parts) if len(c) > 1)
+        tried = []
         for v in parts[idx]:
+            if autos and v in _orbit(tried, [a for a in autos if all(
+                    a[p] == p for p in path)]):
+                continue
+            tried.append(v)
             branched = (parts[:idx] + [[v]] +
                         [[w for w in parts[idx] if w != v]] + parts[idx + 1:])
-            rec(branched)
+            back = rec(branched, path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
 
-    rec(parts)
+    rec(parts, [])
     rows, es = best[0]
     return repr((g.n, rows, es)).encode()
 

@@ -20,9 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import (ColoredGraph, Graph, GraphError, colored_canonical_form,
-                   colored_disjoint_union, edge, is_connected,
-                   vertex_coincide)
+from .core import (ISO_CAP, ColoredGraph, Graph, GraphError, are_isomorphic,
+                   colored_canonical_form, colored_disjoint_union, edge,
+                   is_connected, vertex_coincide)
 from .colorings import (INCONCLUSIVE, ConstraintSet, Preset, check,
                         get_preset, ordered_bipartition, search)
 from .colorings.search import _run
@@ -94,7 +94,7 @@ def raw_plan_count(host_n: int, sizes) -> int:
 
 
 def enumerate_lattice(host: ColoredGraph, base: LatticeBase, bounds,
-                      size_cap: int = 12) -> EnumerationReport:
+                      size_cap: int = ISO_CAP) -> EnumerationReport:
     """Try every plan within the coefficient bounds; report the raw
     plan count and the assemblies that exist, deduplicated up to
     colored isomorphism.
@@ -172,13 +172,14 @@ def check_linear_independence(base: LatticeBase, tree_cap: int = 5):
     assignment of the other vectors to tree vertices and every choice
     of attachment vertices is tried; tree edges become edges between
     the attachment vertices.  Bounded: returns the inconclusive marker
-    when the sweep would exceed the work cap.
+    when the sweep would exceed the work cap, or when a candidate meets
+    a target above the isomorphism cap and no other target refutes.
     """
-    from .core import are_isomorphic
     vecs = [v.graph for v in base.vectors]
     if len(vecs) < 2:
         return True
     work = 0
+    undecided = False
     for j, target in enumerate(vecs):
         others = [g for i, g in enumerate(vecs) if i != j]
         for r in range(2, tree_cap + 1):
@@ -209,11 +210,12 @@ def check_linear_independence(base: LatticeBase, tree_cap: int = 5):
                             edges.append(e)
                         if dup:
                             continue
-                        cand = Graph.from_edges(total, edges)
-                        if cand.n <= 12 and target.n <= 12 and \
-                                are_isomorphic(cand, target):
+                        if target.n > ISO_CAP:
+                            undecided = True
+                        elif are_isomorphic(Graph.from_edges(total, edges),
+                                            target):
                             return False
-    return True
+    return INCONCLUSIVE if undecided else True
 
 
 @dataclass

@@ -91,32 +91,12 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _refinement_key(cg: ColoredGraph):
-    # iterated color refinement; isomorphic graphs always agree on it,
-    # so deduplication by this key keeps one copy per class (it may in
-    # rare cases merge refinement-equivalent non-isomorphic graphs)
-    g = cg.graph
-    lab = {v: (cg.vcolor[v],) for v in range(g.n)}
-    for _ in range(g.n):
-        nxt = {v: (lab[v], tuple(sorted((cg.ecolor[edge(v, w)], lab[w])
-                                        for w in g.neighbors(v))))
-               for v in range(g.n)}
-        if len(set(nxt.values())) == len(set(lab.values())):
-            lab = nxt
-            break
-        lab = nxt
-    esig = sorted(tuple(sorted((lab[u], lab[v]))) + (cg.ecolor[e],)
-                  for e in g.sorted_edges() for u, v in [e])
-    return (g.n, tuple(sorted(lab.values())), tuple(esig))
-
-
 def matching_graphs(t: TopcodeMatrix, max_vertices=None):
     """All colored graphs whose matrix is t, up to isomorphism.
 
     End slots carrying equal values may be merged into one vertex;
     merges producing loops or repeated edges are rejected.  Output
-    graphs with at most 12 vertices are deduplicated up to colored
-    isomorphism, larger ones by a color-refinement key.
+    graphs are deduplicated up to colored isomorphism.
     """
     if t.q > 10:
         raise GraphError("matching_graphs capped at q <= 10")
@@ -131,7 +111,6 @@ def matching_graphs(t: TopcodeMatrix, max_vertices=None):
     for s in slots:
         classes.setdefault(value[s], []).append(s)
     per_class = [list(_set_partitions(c)) for c in classes.values()]
-    target = t.normalized_columns()
     out, seen = [], set()
     for combo in itertools.product(*per_class):
         blocks = [b for part in combo for b in part]
@@ -150,12 +129,7 @@ def matching_graphs(t: TopcodeMatrix, max_vertices=None):
             continue
         g = Graph.from_edges(len(blocks), edges)
         cg = ColoredGraph(g, {vid[s]: value[s] for s in slots}, ecol)
-        if from_graph(cg).normalized_columns() != target:
-            continue
-        if g.n <= 12:
-            key = colored_canonical_form(cg)
-        else:
-            key = _refinement_key(cg)
+        key = colored_canonical_form(cg)
         if key not in seen:
             seen.add(key)
             out.append(cg)

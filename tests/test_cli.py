@@ -118,6 +118,10 @@ def test_graph_to_tree_modes(tmp_path, capsys, mode):
     (["color", "check", "--preset", "strongly-harmonious-total"],
      "g 2\nv 0 1\nv 1 1\n", 0),
     (["topcode", "tbpaw"], "X: 1 2\nE: 1 y\nY: 2 3\n", 1),
+    (["color", "search", "--preset", "edt"], "g 0\n", 0),
+    (["color", "dual", "--kind", "em"], "g 2\nv 0 1\nv 1 2\n", 1),
+    (["graph", "canonical"], "g 20\n", 0),
+    (["graph", "canonical"], "g 21\n", 1),
 ])
 def test_bad_input_fails_cleanly(tmp_path, argv, text, code):
     f = tmp_path / "input.txt"
@@ -129,6 +133,20 @@ def test_bad_input_fails_cleanly(tmp_path, argv, text, code):
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_graph_canonical_of_relabelled_cube(tmp_path, capsys):
+    # Q4 on 16 vertices, and a copy relabelled by v -> 7v + 3 mod 16
+    q4 = [(u, u ^ b) for u in range(16) for b in (1, 2, 4, 8) if u < u ^ b]
+    perm = [(7 * v + 3) % 16 for v in range(16)]
+    digests = []
+    for edges in (q4, [(perm[u], perm[v]) for u, v in q4]):
+        f = tmp_path / "q4.txt"
+        f.write_text("g 16\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+        assert cli.run(["graph", "canonical", str(f)]) == 0
+        digests.append([ln for ln in capsys.readouterr().out.splitlines()
+                        if not ln.startswith("#")])
+    assert digests[0] == digests[1] and len(digests[0]) == 1
 
 
 def test_bad_option_values_fail_cleanly(p5_file, tmp_path, capsys):

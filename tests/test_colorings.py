@@ -210,3 +210,20 @@ def test_grace_number_small():
     assert grace_number(4, 4) == 6
     with pytest.raises(PresetError):
         grace_number(3, 4)
+
+
+def test_vertexless_search_agrees_with_check():
+    empty = ColoredGraph(Graph(0), {}, {})
+    for name in preset_names():
+        if check(empty, get_preset(name)).ok:
+            assert search(Graph(0), name) == empty, name
+        else:
+            assert search(Graph(0), name) is None, name
+
+
+def test_metric_constant_needs_an_edge():
+    cg = ColoredGraph(Graph(2), {0: 1, 1: 2}, {})
+    with pytest.raises(PresetError, match="edgeless"):
+        metric_constant(cg, AlphaMetric("emt"))
+    with pytest.raises(PresetError, match="edgeless"):
+        dual(cg, "em")

@@ -71,6 +71,28 @@ def test_linear_independence():
     assert check_linear_independence(LatticeBase([k2g, p4])) is False
 
 
+def _mono_path(n):
+    g = path_graph(n)
+    return ColoredGraph(g, {v: 1 for v in range(n)}, {e: 1 for e in g.edges})
+
+
+def test_enumeration_beyond_twelve_vertices():
+    # a pendant edge on P13: seven places up to the path's reflection
+    report = enumerate_lattice(_mono_path(13), LatticeBase([_mono_path(2)]),
+                               [1])
+    assert report.raw_plans == raw_plan_count(13, [2]) == 26
+    assert report.distinct == 7
+
+
+def test_linear_independence_of_larger_targets():
+    # P14 is two copies of P7 tied by one edge
+    assert check_linear_independence(
+        LatticeBase([_mono_path(7), _mono_path(14)])) is False
+    # a 22-vertex target is above the cap and cannot be compared
+    assert check_linear_independence(
+        LatticeBase([_mono_path(11), _mono_path(22)])) is INCONCLUSIVE
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_join_edge_range(m):
     res = join_set_ordered(p5_so(), p5_so(), m)

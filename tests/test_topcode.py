@@ -1,3 +1,6 @@
+import itertools
+
+import networkx as nx
 import pytest
 
 from topocoding.core import (ColoredGraph, Graph, GraphError,
@@ -55,6 +58,71 @@ def test_matching_graphs_merge_classes():
     # merge the x ends, the y ends, or neither; merging both would
     # duplicate the edge
     assert sizes == [3, 3, 4]
+
+
+# equal end values: three merge classes per side, outputs of 8 to 14 vertices
+WIDE = TopcodeMatrix((1, 1, 1, 3, 3, 5, 5), (1, 1, 1, 1, 1, 1, 1),
+                     (2, 2, 2, 4, 4, 6, 6))
+
+
+@pytest.mark.parametrize("t", [from_graph(P5), TopcodeMatrix((1, 1), (2, 2),
+                                                             (3, 3)),
+                               TopcodeMatrix((1, 1, 1), (1, 2, 3),
+                                             (2, 2, 2)), WIDE])
+def test_matching_graphs_keep_the_matrix(t):
+    graphs = matching_graphs(t)
+    assert graphs
+    for cg in graphs:
+        assert from_graph(cg).normalized_columns() == t.normalized_columns()
+
+
+def _block_labels(k):
+    """Every assignment of k slots to blocks, as restricted growth strings."""
+    def rec(prefix, top):
+        if len(prefix) == k:
+            yield tuple(prefix)
+            return
+        for b in range(top + 2):
+            yield from rec(prefix + [b], max(top, b))
+    yield from rec([], -1)
+
+
+def _networkx_classes(t):
+    ends = [("x", i, t.x[i]) for i in range(t.q)] + \
+        [("y", i, t.y[i]) for i in range(t.q)]
+    by_value = {}
+    for end in ends:
+        by_value.setdefault(end[2], []).append(end)
+    groups = list(by_value.items())
+
+    def same(a, b):
+        return a["c"] == b["c"]
+
+    classes = []
+    for combo in itertools.product(*(_block_labels(len(es))
+                                     for _, es in groups)):
+        node = {}
+        for (val, es), lab in zip(groups, combo):
+            for end, b in zip(es, lab):
+                node[end[:2]] = (val, b)
+        g = nx.Graph()
+        g.add_nodes_from((v, {"c": v[0]}) for v in node.values())
+        for i in range(t.q):
+            u, v = node[("x", i)], node[("y", i)]
+            if u == v or g.has_edge(u, v):
+                break
+            g.add_edge(u, v, c=t.e[i])
+        else:
+            if not any(nx.is_isomorphic(g, h, node_match=same, edge_match=same)
+                       for h in classes):
+                classes.append(g)
+    return classes
+
+
+def test_matching_graphs_beyond_twelve_vertices():
+    graphs = matching_graphs(WIDE)
+    assert max(cg.graph.n for cg in graphs) == 14
+    assert len(graphs) == len(_networkx_classes(WIDE)) == 54
 
 
 def test_union_and_reciprocal():
