@@ -6,6 +6,7 @@ complete graphs up to isomorphism (one graph per red subgraph class).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ..core import (ColoredGraph, Graph, GraphError, canonical_form,
@@ -138,7 +139,11 @@ def is_critical(g: Graph, sign: str, quant: str = "exists-edge",
     return any(restored) if quant == "exists-edge" else all(restored)
 
 
+@functools.cache
 def _atlas_graphs(n):
+    """The atlas graphs on n vertices, built once per process: each build
+    regenerates the whole atlas, and one grace_number call asks for it
+    six times."""
     import networkx as nx
     out = []
     for G in nx.graph_atlas_g():
@@ -146,7 +151,7 @@ def _atlas_graphs(n):
             relabel = {v: i for i, v in enumerate(sorted(G.nodes()))}
             out.append(Graph.from_edges(
                 n, [(relabel[u], relabel[v]) for u, v in G.edges()]))
-    return out
+    return tuple(out)
 
 
 def _critical_classes(t, quant):

@@ -118,6 +118,11 @@ def test_graph_to_tree_modes(tmp_path, capsys, mode):
     (["color", "check", "--preset", "strongly-harmonious-total"],
      "g 2\nv 0 1\nv 1 1\n", 0),
     (["topcode", "tbpaw"], "X: 1 2\nE: 1 y\nY: 2 3\n", 1),
+    (["topcode", "match", "--max-vertices", "5"], "X: 1 1\nE: 1 2\nY: 1 1\n",
+     1),
+    (["topcode", "match", "--max-vertices", "-1"], "X: 1\nE: 1\nY: 2\n", 1),
+    (["topcode", "match"], "X:" + " 1" * 11 + "\nE:" + " 1" * 11
+     + "\nY:" + " 2" * 11 + "\n", 1),
     (["color", "search", "--preset", "edt"], "g 0\n", 0),
     (["color", "dual", "--kind", "em"], "g 2\nv 0 1\nv 1 2\n", 1),
     (["graph", "canonical"], "g 20\n", 0),
@@ -187,6 +192,19 @@ def test_topcode_encode_and_tbpaw(p5_file, tmp_path, capsys):
             if not ln.startswith("#")][-1]
     t = topcode.from_graph(from_text(P5_TEXT))
     assert word == topcode.tbpaw(t, 1).digits
+
+
+def test_topcode_match_counts(tmp_path, capsys):
+    # the star K_{1,4} with every vertex colored 1
+    mat = tmp_path / "star.txt"
+    mat.write_text("X: 1 1 1 1\nE: 1 2 3 4\nY: 1 1 1 1\n")
+    assert cli.run(["topcode", "match", str(mat)]) == 0
+    assert "match count=70" in capsys.readouterr().out
+    small = sum(1 for cg in topcode.matching_graphs(
+        topcode.TopcodeMatrix((1,) * 4, (1, 2, 3, 4), (1,) * 4))
+        if cg.graph.n <= 5)
+    assert cli.run(["topcode", "match", str(mat), "--max-vertices", "5"]) == 0
+    assert f"match count={small}" in capsys.readouterr().out
 
 
 def test_topcode_ntbp_claim(capsys):

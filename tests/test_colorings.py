@@ -210,6 +210,10 @@ def test_grace_number_small():
     assert grace_number(4, 4) == 6
     with pytest.raises(PresetError):
         grace_number(3, 4)
+    # the atlas is read once per order and shared as an immutable tuple
+    from topocoding.colorings.extras import _atlas_graphs
+    assert _atlas_graphs(4) is _atlas_graphs(4)
+    assert isinstance(_atlas_graphs(4), tuple) and len(_atlas_graphs(4)) == 11
 
 
 def test_vertexless_search_agrees_with_check():

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from topocoding.core import (ColoredGraph, Graph, GraphError,
-                             colored_canonical_form, path_graph, star_graph)
+                             colored_canonical_form, edge, path_graph,
+                             star_graph)
 from topocoding.colorings import INCONCLUSIVE
 from topocoding.topcode import (TBPaw, TopcodeMatrix, decompose_number_string,
                                 from_graph, matching_graphs, ntbp,
@@ -123,6 +125,120 @@ def test_matching_graphs_beyond_twelve_vertices():
     graphs = matching_graphs(WIDE)
     assert max(cg.graph.n for cg in graphs) == 14
     assert len(graphs) == len(_networkx_classes(WIDE)) == 54
+
+
+def _bell_matching_graphs(t, max_vertices):
+    """The routine matching_graphs replaced, kept as the reference: the
+    product of the set partitions of every value class of end slots,
+    loops and repeated edges rejected afterwards, one graph per colored
+    canonical form."""
+    by_value = {}
+    for i in range(t.q):
+        by_value.setdefault(t.x[i], []).append(("x", i))
+    for i in range(t.q):
+        by_value.setdefault(t.y[i], []).append(("y", i))
+    groups = list(by_value.items())
+    out, seen = [], set()
+    for combo in itertools.product(*(_block_labels(len(slots))
+                                     for _, slots in groups)):
+        vid, vcol = {}, {}
+        for (val, slots), lab in zip(groups, combo):
+            base = len(vcol)
+            for slot, b in zip(slots, lab):
+                vid[slot] = base + b
+                vcol[base + b] = val
+        if len(vcol) > max_vertices:
+            continue
+        ecol = {}
+        for i in range(t.q):
+            u, v = vid[("x", i)], vid[("y", i)]
+            if u == v or edge(u, v) in ecol:
+                break
+            ecol[edge(u, v)] = t.e[i]
+        else:
+            cg = ColoredGraph(Graph(len(vcol), frozenset(ecol)), vcol, ecol)
+            key = colored_canonical_form(cg)
+            if key not in seen:
+                seen.add(key)
+                out.append(cg)
+    return out
+
+
+def _random_matrix(rng, q, repeat):
+    """Values in {1, 2, 3}; with repeat, the last column is the first one
+    flipped, so some normalized column repeats; without, none does."""
+    while True:
+        cols = [tuple(rng.randint(1, 3) for _ in range(3)) for _ in range(q)]
+        if repeat:
+            cols[-1] = cols[0][::-1]
+        t = TopcodeMatrix(*(tuple(c[k] for c in cols) for k in range(3)))
+        norm = t.normalized_columns()
+        if (len(set(norm)) < q) == repeat:
+            return t
+
+
+def _pairwise_non_isomorphic(graphs):
+    def nxg(cg):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"c": c}) for v, c in cg.vcolor.items())
+        h.add_edges_from((u, v, {"c": c}) for (u, v), c in cg.ecolor.items())
+        return h
+
+    def same(a, b):
+        return a["c"] == b["c"]
+
+    buckets = {}
+    for cg in graphs:
+        h = nxg(cg)
+        key = nx.weisfeiler_lehman_graph_hash(h, node_attr="c", edge_attr="c")
+        for other in buckets.get(key, []):
+            if nx.is_isomorphic(h, other, node_match=same, edge_match=same):
+                return False
+        buckets.setdefault(key, []).append(h)
+    return True
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_matching_graphs_agree_with_bell_enumeration(repeat):
+    rng = random.Random(503 + repeat)
+    flips = 0
+    for _ in range(50):
+        q = rng.randint(2, 5)
+        t = _random_matrix(rng, q, repeat)
+        flips += any(a == c for a, _, c in t.columns())
+        for cap in (2 * q, rng.randint(2, 2 * q - 1)):
+            got = matching_graphs(t, max_vertices=cap)
+            want = _bell_matching_graphs(t, cap)
+            assert len(got) == len(want), (t, cap)
+            assert ({colored_canonical_form(cg) for cg in got}
+                    == {colored_canonical_form(cg) for cg in want}), (t, cap)
+            if not repeat:
+                # no canonical form ran: the search itself kept one leaf
+                # per class
+                assert _pairwise_non_isomorphic(got), (t, cap)
+    assert flips >= 25
+
+
+def test_matching_graphs_empty_matrix():
+    t = TopcodeMatrix((), (), ())
+    for cap in (None, 0):
+        got = matching_graphs(t, max_vertices=cap)
+        assert [cg.graph.n for cg in got] == [0]
+        assert len(_bell_matching_graphs(t, 0)) == 1
+
+
+def test_matching_graphs_all_equal_star():
+    t = TopcodeMatrix((1,) * 5, (1, 2, 3, 4, 5), (1,) * 5)
+    assert len(matching_graphs(t)) == 794
+
+
+def test_matching_graphs_guards():
+    t = TopcodeMatrix((1, 1), (2, 2), (3, 3))
+    for cap in (-1, 5):
+        with pytest.raises(GraphError):
+            matching_graphs(t, max_vertices=cap)
+    with pytest.raises(GraphError):
+        matching_graphs(TopcodeMatrix((1,) * 11, tuple(range(11)), (2,) * 11))
 
 
 def test_union_and_reciprocal():
