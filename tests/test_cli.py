@@ -118,15 +118,15 @@ def test_graph_to_tree_modes(tmp_path, capsys, mode):
     (["color", "check", "--preset", "strongly-harmonious-total"],
      "g 2\nv 0 1\nv 1 1\n", 0),
     (["topcode", "tbpaw"], "X: 1 2\nE: 1 y\nY: 2 3\n", 1),
+    (["color", "search", "--preset", "edt"], "g 0\n", 0),
+    (["color", "dual", "--kind", "em"], "g 2\nv 0 1\nv 1 2\n", 1),
+    (["graph", "canonical"], "g 20\n", 0),
+    (["graph", "canonical"], "g 21\n", 1),
     (["topcode", "match", "--max-vertices", "5"], "X: 1 1\nE: 1 2\nY: 1 1\n",
      1),
     (["topcode", "match", "--max-vertices", "-1"], "X: 1\nE: 1\nY: 2\n", 1),
     (["topcode", "match"], "X:" + " 1" * 11 + "\nE:" + " 1" * 11
      + "\nY:" + " 2" * 11 + "\n", 1),
-    (["color", "search", "--preset", "edt"], "g 0\n", 0),
-    (["color", "dual", "--kind", "em"], "g 2\nv 0 1\nv 1 2\n", 1),
-    (["graph", "canonical"], "g 20\n", 0),
-    (["graph", "canonical"], "g 21\n", 1),
 ])
 def test_bad_input_fails_cleanly(tmp_path, argv, text, code):
     f = tmp_path / "input.txt"
